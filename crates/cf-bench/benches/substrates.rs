@@ -4,7 +4,8 @@
 
 use cf_delaunay::triangulate;
 use cf_field::estimate::triangle_band;
-use cf_geom::{Aabb, Point2, Triangle};
+use cf_field::{FieldModel, GridField};
+use cf_geom::{shoelace, Aabb, Interval, Point2, Triangle};
 use cf_rtree::{bulk_load_str, PagedRTree, RStarTree, RTreeConfig};
 use cf_sfc::{hilbert_index_2d, hilbert_index_nd, Curve};
 use cf_storage::{KvRecord, RecordFile, StorageEngine};
@@ -152,6 +153,20 @@ fn estimation(c: &mut Criterion) {
         b.iter(|| {
             lo = (lo + 0.013) % 0.8;
             std::hint::black_box(triangle_band(&tri, [0.0, 1.0, 0.5], lo, lo + 0.1))
+        })
+    });
+    // One grid cell (two triangles) through the allocation-free region
+    // visitor, counting regions and summing areas as `query_stats` does.
+    let cell = GridField::from_values(2, 2, vec![0.0, 1.0, 0.5, 0.8]).cell_record(0);
+    g.bench_function("grid_cell_band_regions", |b| {
+        b.iter(|| {
+            lo = (lo + 0.013) % 0.8;
+            let (mut regions, mut area) = (0usize, 0.0f64);
+            GridField::for_each_band_region(&cell, Interval::new(lo, lo + 0.1), |region| {
+                regions += 1;
+                area += shoelace(region).abs();
+            });
+            std::hint::black_box((regions, area))
         })
     });
     g.finish();

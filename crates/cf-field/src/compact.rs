@@ -13,11 +13,10 @@
 //! significant digits), far below measurement noise for the phenomena
 //! the paper targets.
 
-use crate::estimate::triangle_band;
 use crate::grid::GridCellRecord;
 use crate::model::FieldModel;
 use crate::GridField;
-use cf_geom::{Aabb, Interval, Point2, Polygon};
+use cf_geom::{Aabb, Interval, Point2};
 use cf_storage::Record;
 
 /// A grid field whose cells are stored as 32-byte `f32` records.
@@ -114,13 +113,12 @@ impl FieldModel for CompactGridField {
         GridField::record_interval(&rec.cell)
     }
 
-    fn record_band_region(rec: &CompactGridCellRecord, band: Interval) -> Vec<Polygon> {
-        rec.cell
-            .triangles()
-            .into_iter()
-            .map(|(tri, vals)| triangle_band(&tri, vals, band.lo, band.hi))
-            .filter(|p| !p.is_empty())
-            .collect()
+    fn for_each_band_region(
+        rec: &CompactGridCellRecord,
+        band: Interval,
+        visit: impl FnMut(&[Point2]),
+    ) {
+        GridField::for_each_band_region(&rec.cell, band, visit)
     }
 
     fn domain(&self) -> Aabb<2> {
@@ -147,6 +145,7 @@ impl FieldModel for CompactGridField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cf_geom::Polygon;
 
     fn sample() -> CompactGridField {
         let mut values = Vec::new();

@@ -7,7 +7,7 @@
 //! region where `a ≤ w ≤ b` is the triangle clipped by two half-planes —
 //! computable exactly with Sutherland–Hodgman.
 
-use cf_geom::{Point2, Polygon, Triangle, EPSILON};
+use cf_geom::{FixedPolygon, Point2, Triangle, EPSILON};
 
 /// Coefficients of the affine interpolant `w(x, y) = gx·x + gy·y + c`
 /// over a triangle with given vertex values.
@@ -27,108 +27,41 @@ pub fn plane_coefficients(tri: &Triangle, values: [f64; 3]) -> Option<(f64, f64,
     Some((gx, gy, c))
 }
 
-/// Lane width of the portable SIMD-style kernels, matching the
-/// `FrozenTree` mask idiom (8 × f64 = one cache line).
-pub const LANE: usize = 8;
-
-/// Branchless band classification over one lane of interpolant values:
-/// returns `(below, above, inside)` bit masks where lane `i` sets bit
-/// `i` of `below` when `w[i] - lo < 0` (the first clip half-plane drops
-/// it), of `above` when `hi - w[i] < 0` (the second clip drops it), and
-/// of `inside` when both clips keep it. The comparisons are exactly the
-/// signed-distance tests Sutherland–Hodgman applies, so an
-/// all-below/all-above lane proves the clipped region empty and an
-/// all-inside lane proves the clip is the identity — no epsilon is
-/// involved. NaN values set no bit (they fall through to the exact
-/// clip).
-#[inline]
-pub fn band_masks_x8(w: &[f64; LANE], lo: f64, hi: f64) -> (u8, u8, u8) {
-    let mut below = 0u8;
-    let mut above = 0u8;
-    let mut inside = 0u8;
-    for (i, &wi) in w.iter().enumerate() {
-        let d_lo = wi - lo;
-        let d_hi = hi - wi;
-        below |= u8::from(d_lo < 0.0) << i;
-        above |= u8::from(d_hi < 0.0) << i;
-        inside |= u8::from(d_lo >= 0.0 && d_hi >= 0.0) << i;
-    }
-    (below, above, inside)
-}
-
-/// 8-wide branchless inverse interpolation: lane `i` solves
-/// [`inverse_on_segment`]`(w0[i], w1[i], w)` with bit-identical results,
-/// writing the parameter into `t[i]` and setting bit `i` of the returned
-/// hit mask. Missed lanes (including NaN inputs) leave `t[i] = 0.0`.
-#[inline]
-pub fn inverse_on_segment_x8(
-    w0: &[f64; LANE],
-    w1: &[f64; LANE],
-    w: f64,
-    t: &mut [f64; LANE],
-) -> u8 {
-    let mut hits = 0u8;
-    for i in 0..LANE {
-        let flat = (w0[i] - w1[i]).abs() < EPSILON;
-        let tv = (w - w0[i]) / (w1[i] - w0[i]);
-        // Select without branching: flat segments report t = 0 and hit
-        // iff the query value matches; sloped segments hit iff the
-        // parameter lands in [0, 1] (NaN fails both comparisons).
-        let hit_flat = (w - w0[i]).abs() < EPSILON;
-        let hit_slope = (0.0..=1.0).contains(&tv);
-        let hit = (flat & hit_flat) | (!flat & hit_slope);
-        t[i] = if flat | !hit { 0.0 } else { tv };
-        hits |= u8::from(hit) << i;
-    }
-    hits
-}
-
 /// The sub-region of `tri` where the linear interpolant of `values` lies
 /// in `[lo, hi]`.
 ///
-/// Returns the clipped polygon (possibly empty). For a degenerate
-/// triangle the empty polygon is returned.
+/// Returns the clipped polygon (possibly empty), inline and without
+/// allocating. For a degenerate triangle the empty polygon is returned.
 ///
 /// The common cases — triangle entirely outside or entirely inside the
-/// band — are resolved by [`band_masks_x8`] over the vertex interpolant
-/// values without running the clipper; because the masks use the exact
-/// signed distances the clip would test, the result is bit-identical to
-/// the full Sutherland–Hodgman path.
-pub fn triangle_band(tri: &Triangle, values: [f64; 3], lo: f64, hi: f64) -> Polygon {
+/// band — are resolved from the vertex interpolant values without
+/// running the clipper. The tests are the exact signed distances the two
+/// clips compare against zero (NaN passes none of them and falls through
+/// to the clip), so the result is bit-identical to the full
+/// Sutherland–Hodgman path.
+#[inline]
+pub fn triangle_band(tri: &Triangle, values: [f64; 3], lo: f64, hi: f64) -> FixedPolygon {
     debug_assert!(lo <= hi, "inverted band [{lo}, {hi}]");
     let Some((gx, gy, c)) = plane_coefficients(tri, values) else {
-        return Polygon::empty();
+        return FixedPolygon::default();
     };
     let w = move |p: Point2| gx * p.x + gy * p.y + c;
 
-    // Fast classification over the vertex lane. Padding lanes carry lo
-    // (in-band, neither below nor above), so only the valid mask gates
-    // the three all-lane tests.
-    const VALID: u8 = 0b0000_0111;
-    let mut ws = [lo; LANE];
-    for (slot, p) in ws.iter_mut().zip(tri.vertices) {
-        *slot = w(p);
-    }
-    let (below, above, inside) = band_masks_x8(&ws, lo, hi);
-    if below & VALID == VALID || above & VALID == VALID {
+    let ws = tri.vertices.map(w);
+    if ws.iter().all(|&wi| wi - lo < 0.0) || ws.iter().all(|&wi| hi - wi < 0.0) {
         // Every vertex is dropped by one of the two half-plane clips:
         // the clipped region is empty.
-        return Polygon::empty();
+        return FixedPolygon::default();
     }
-    if inside & VALID == VALID {
+    if ws.iter().all(|&wi| wi - lo >= 0.0 && hi - wi >= 0.0) {
         // Both clips keep every vertex: Sutherland–Hodgman emits the
         // input polygon unchanged.
         return (*tri).into();
     }
 
-    let poly: Polygon = (*tri).into();
-    poly.clip_halfplane(|p| w(p) - lo)
+    FixedPolygon::from(*tri)
+        .clip_halfplane(|p| w(p) - lo)
         .clip_halfplane(|p| hi - w(p))
-}
-
-/// Total area of a collection of band regions.
-pub fn total_area(regions: &[Polygon]) -> f64 {
-    regions.iter().map(Polygon::area).sum()
 }
 
 /// Inverse interpolation on a segment: the parameter `t ∈ [0, 1]` where
@@ -223,7 +156,7 @@ mod tests {
         let (gx, gy, c) = plane_coefficients(&tri, vals).unwrap();
         let region = triangle_band(&tri, vals, 15.0, 22.0);
         assert!(!region.is_empty());
-        for v in &region.vertices {
+        for v in region.vertices() {
             let w = gx * v.x + gy * v.y + c;
             assert!(
                 (15.0 - 1e-9..=22.0 + 1e-9).contains(&w),
@@ -231,7 +164,7 @@ mod tests {
             );
         }
         // Band vertices also stay inside the triangle.
-        for v in &region.vertices {
+        for v in region.vertices() {
             assert!(tri.contains(*v));
         }
     }
@@ -275,136 +208,81 @@ mod tests {
         assert_eq!(inverse_on_segment(3.0, 3.0, 3.0), Some(0.0));
         assert_eq!(inverse_on_segment(3.0, 3.0, 4.0), None);
     }
-
-    #[test]
-    fn band_masks_handle_nan_and_boundaries() {
-        let ws = [
-            -1.0,
-            0.0, // exactly lo: kept by the first clip
-            0.5,
-            1.0, // exactly hi: kept by the second clip
-            2.0,
-            f64::NAN, // sets no bit anywhere
-            f64::NEG_INFINITY,
-            f64::INFINITY,
-        ];
-        let (below, above, inside) = band_masks_x8(&ws, 0.0, 1.0);
-        assert_eq!(below, 0b0100_0001);
-        assert_eq!(above, 0b1001_0000);
-        assert_eq!(inside, 0b0000_1110);
-        // The three masks partition the non-NaN lanes.
-        assert_eq!(below | above | inside, 0b1101_1111);
-        assert_eq!(below & above, 0);
-        assert_eq!(below & inside, 0);
-    }
-
-    #[test]
-    fn vector_inverse_matches_scalar_on_edge_cases() {
-        let w0 = [0.0, 10.0, 3.0, 3.0, f64::NAN, 1.0, 0.0, -5.0];
-        let w1 = [10.0, 0.0, 3.0, 3.0, 1.0, f64::NAN, 0.0, 5.0];
-        for w in [-5.0, 0.0, 2.5, 3.0, 5.0, f64::NAN] {
-            let mut t = [f64::NAN; LANE];
-            let hits = inverse_on_segment_x8(&w0, &w1, w, &mut t);
-            for i in 0..LANE {
-                let want = inverse_on_segment(w0[i], w1[i], w);
-                assert_eq!(hits >> i & 1 == 1, want.is_some(), "lane {i}, w {w}");
-                let want_t = want.unwrap_or(0.0);
-                assert_eq!(
-                    t[i].to_bits(),
-                    want_t.to_bits(),
-                    "lane {i}, w {w}: {} vs {want_t}",
-                    t[i]
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod kernel_props {
     use super::*;
+    use cf_geom::{Polygon, FIXED_POLYGON_CAPACITY};
     use proptest::prelude::*;
 
-    /// Lane values that exercise the interesting regimes: ordinary
-    /// magnitudes, near-epsilon differences, exact ties and NaN.
-    fn lane_value() -> impl Strategy<Value = f64> {
+    /// Vertex values: ordinary magnitudes, a repeated value (flat
+    /// edges) and NaN.
+    fn vertex_value() -> impl Strategy<Value = f64> {
         prop_oneof![
-            8 => -100.0..100.0f64,
-            2 => (-10.0..10.0f64).prop_map(|v| v * 1e-13),
+            8 => -50.0..50.0f64,
             1 => Just(3.0),
             1 => Just(f64::NAN),
         ]
     }
 
-    fn lanes8() -> impl Strategy<Value = [f64; LANE]> {
-        prop::collection::vec(lane_value(), LANE).prop_map(|v| {
-            let mut a = [0.0; LANE];
-            a.copy_from_slice(&v);
-            a
-        })
+    fn point() -> impl Strategy<Value = Point2> {
+        (-10.0..10.0f64, -10.0..10.0f64).prop_map(|(x, y)| Point2::new(x, y))
     }
 
-    fn triple(lo: f64, hi: f64) -> impl Strategy<Value = [f64; 3]> {
-        prop::collection::vec(lo..hi, 3).prop_map(|v| {
-            let mut a = [0.0; 3];
-            a.copy_from_slice(&v);
-            a
-        })
+    /// Ordinary triangles, plus degenerate ones: collinear vertices
+    /// and a repeated vertex.
+    fn triangle() -> impl Strategy<Value = Triangle> {
+        prop_oneof![
+            6 => (point(), point(), point()).prop_map(|(a, b, c)| Triangle::new(a, b, c)),
+            1 => (point(), point(), -2.0..2.0f64)
+                .prop_map(|(a, b, t)| Triangle::new(a, b, a.lerp(b, t))),
+            1 => (point(), point()).prop_map(|(a, b)| Triangle::new(a, b, a)),
+        ]
     }
 
     proptest! {
-        #[test]
-        fn vector_inverse_is_bit_identical_to_scalar(
-            w0 in lanes8(),
-            w1 in lanes8(),
-            w in lane_value(),
-        ) {
-            let mut t = [f64::NAN; LANE];
-            let hits = inverse_on_segment_x8(&w0, &w1, w, &mut t);
-            for i in 0..LANE {
-                let want = inverse_on_segment(w0[i], w1[i], w);
-                prop_assert_eq!(hits >> i & 1 == 1, want.is_some(), "lane {}", i);
-                prop_assert_eq!(t[i].to_bits(), want.unwrap_or(0.0).to_bits(), "lane {}", i);
-            }
-        }
-
-        #[test]
-        fn band_masks_match_scalar_signed_distances(
-            ws in lanes8(),
-            lo in -100.0..100.0f64,
-            width in 0.0..50.0f64,
-        ) {
-            let hi = lo + width;
-            let (below, above, inside) = band_masks_x8(&ws, lo, hi);
-            for (i, &wi) in ws.iter().enumerate() {
-                prop_assert_eq!(below >> i & 1 == 1, wi - lo < 0.0, "lane {}", i);
-                prop_assert_eq!(above >> i & 1 == 1, hi - wi < 0.0, "lane {}", i);
-                prop_assert_eq!(
-                    inside >> i & 1 == 1,
-                    wi - lo >= 0.0 && hi - wi >= 0.0,
-                    "lane {}", i
-                );
-            }
-        }
-
-        /// The masked fast paths of `triangle_band` must be bit-identical
-        /// to the unconditional Sutherland–Hodgman pipeline.
+        /// The fast paths and the inline clip of `triangle_band` must be
+        /// bit-identical to the unconditional Sutherland–Hodgman
+        /// pipeline on the growable `Polygon`, and never exceed the
+        /// inline capacity.
         #[test]
         fn triangle_band_fast_paths_equal_full_clip(
-            xs in triple(-10.0, 10.0),
-            ys in triple(-10.0, 10.0),
-            vals in triple(-50.0, 50.0),
-            lo in -60.0..60.0f64,
+            tri in triangle(),
+            vals in (vertex_value(), vertex_value(), vertex_value()).prop_map(|(a, b, c)| [a, b, c]),
+            lo_pick in 0..4usize,
+            hi_pick in 0..5usize,
+            lo_raw in -60.0..60.0f64,
             width in 0.0..40.0f64,
         ) {
-            let tri = Triangle::new(
-                Point2::new(xs[0], ys[0]),
-                Point2::new(xs[1], ys[1]),
-                Point2::new(xs[2], ys[2]),
-            );
-            let hi = lo + width;
+            let plane = plane_coefficients(&tri, vals);
+            // Interpolant values at the vertices, as the clip computes
+            // them: picking one as a band end makes an exact tie.
+            let at_vertex = |i: usize| match plane {
+                Some((gx, gy, c)) => {
+                    let p = tri.vertices[i];
+                    gx * p.x + gy * p.y + c
+                }
+                None => vals[i],
+            };
+            let mut lo = if lo_pick < 3 { at_vertex(lo_pick) } else { lo_raw };
+            if lo.is_nan() {
+                lo = lo_raw;
+            }
+            let mut hi = match hi_pick {
+                0..=2 => at_vertex(hi_pick),
+                3 => lo,
+                _ => lo + width,
+            };
+            if hi.is_nan() {
+                hi = lo + width;
+            }
+            if hi < lo {
+                std::mem::swap(&mut lo, &mut hi);
+            }
+
             let got = triangle_band(&tri, vals, lo, hi);
-            let want = match plane_coefficients(&tri, vals) {
+            let want = match plane {
                 None => Polygon::empty(),
                 Some((gx, gy, c)) => {
                     let w = |p: Point2| gx * p.x + gy * p.y + c;
@@ -413,11 +291,13 @@ mod kernel_props {
                         .clip_halfplane(|p| hi - w(p))
                 }
             };
-            prop_assert_eq!(got.vertices.len(), want.vertices.len());
-            for (g, e) in got.vertices.iter().zip(&want.vertices) {
+            prop_assert!(got.vertices().len() <= FIXED_POLYGON_CAPACITY);
+            prop_assert_eq!(got.vertices().len(), want.vertices.len());
+            for (g, e) in got.vertices().iter().zip(&want.vertices) {
                 prop_assert_eq!(g.x.to_bits(), e.x.to_bits());
                 prop_assert_eq!(g.y.to_bits(), e.y.to_bits());
             }
+            prop_assert_eq!(got.area().to_bits(), want.area().to_bits());
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::estimate::triangle_band;
 use crate::model::FieldModel;
-use cf_geom::{Aabb, Interval, Point2, Polygon, Triangle};
+use cf_geom::{Aabb, Interval, Point2, Triangle};
 use cf_storage::{codec, Record};
 
 /// A scalar field sampled on a regular grid.
@@ -209,12 +209,17 @@ impl FieldModel for GridField {
         Interval::hull(&rec.vals).expect("4 corner values")
     }
 
-    fn record_band_region(rec: &GridCellRecord, band: Interval) -> Vec<Polygon> {
-        rec.triangles()
-            .into_iter()
-            .map(|(tri, vals)| triangle_band(&tri, vals, band.lo, band.hi))
-            .filter(|p| !p.is_empty())
-            .collect()
+    fn for_each_band_region(
+        rec: &GridCellRecord,
+        band: Interval,
+        mut visit: impl FnMut(&[Point2]),
+    ) {
+        for (tri, vals) in rec.triangles() {
+            let region = triangle_band(&tri, vals, band.lo, band.hi);
+            if !region.is_empty() {
+                visit(region.vertices());
+            }
+        }
     }
 
     fn domain(&self) -> Aabb<2> {
@@ -274,6 +279,7 @@ impl FieldModel for GridField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cf_geom::Polygon;
 
     /// 3x3 vertices, values = x + 10y (linear plane).
     fn plane_grid() -> GridField {

@@ -20,10 +20,10 @@
 //! * **Q1** (conventional): [`FieldModel::value_at`] finds the cell
 //!   containing a point and interpolates;
 //! * **Q2** (field value queries): the per-cell *estimation step* —
-//!   [`FieldModel::record_band_region`] computes the exact sub-region of
-//!   a cell where the interpolated value lies in a query interval, by
-//!   clipping the cell's triangles against the two half-planes of the
-//!   affine interpolant (see [`estimate`]).
+//!   [`FieldModel::for_each_band_region`] visits the exact sub-regions
+//!   of a cell where the interpolated value lies in a query interval,
+//!   computed without allocating by clipping the cell's triangles against
+//!   the two half-planes of the affine interpolant (see [`estimate`]).
 //!
 //! Cells also know their on-disk record encoding ([`cf_storage::Record`])
 //! so the value indexes can store them in Hilbert order and run the

@@ -39,9 +39,23 @@ pub trait FieldModel {
     /// [`FieldModel::cell_interval`] for the same cell).
     fn record_interval(rec: &Self::CellRec) -> Interval;
 
-    /// Estimation step for one retrieved cell: the exact sub-regions of
-    /// the cell where the interpolated value lies in `band`.
-    fn record_band_region(rec: &Self::CellRec, band: Interval) -> Vec<Polygon>;
+    /// Estimation step for one retrieved cell: visits, in order, each
+    /// non-empty exact sub-region of the cell where the interpolated
+    /// value lies in `band`, as its vertex ring.
+    ///
+    /// The regions live on the stack only for the call to `visit`, so a
+    /// caller that needs counts and areas allocates nothing per cell.
+    fn for_each_band_region(rec: &Self::CellRec, band: Interval, visit: impl FnMut(&[Point2]));
+
+    /// The regions [`FieldModel::for_each_band_region`] visits,
+    /// collected as polygons.
+    fn record_band_region(rec: &Self::CellRec, band: Interval) -> Vec<Polygon> {
+        let mut regions = Vec::new();
+        Self::for_each_band_region(rec, band, |region| {
+            regions.push(Polygon::new(region.to_vec()))
+        });
+        regions
+    }
 
     /// Bounding box of the spatial domain.
     fn domain(&self) -> Aabb<2>;

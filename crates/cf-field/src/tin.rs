@@ -3,7 +3,7 @@
 use crate::estimate::triangle_band;
 use crate::model::FieldModel;
 use cf_delaunay::{triangulate, Adjacency, Triangulation, TriangulationError};
-use cf_geom::{Aabb, Interval, Point2, Polygon, Triangle};
+use cf_geom::{Aabb, Interval, Point2, Triangle};
 use cf_storage::{codec, Record};
 
 /// A scalar field over a TIN: each triangle interpolates its three
@@ -156,12 +156,10 @@ impl FieldModel for TinField {
         Interval::hull(&rec.values).expect("3 vertex values")
     }
 
-    fn record_band_region(rec: &TinCellRecord, band: Interval) -> Vec<Polygon> {
+    fn for_each_band_region(rec: &TinCellRecord, band: Interval, mut visit: impl FnMut(&[Point2])) {
         let region = triangle_band(&rec.triangle(), rec.values, band.lo, band.hi);
-        if region.is_empty() {
-            Vec::new()
-        } else {
-            vec![region]
+        if !region.is_empty() {
+            visit(region.vertices());
         }
     }
 

@@ -13,7 +13,8 @@
 //!   cell shape of TINs and the unit of exact iso-band extraction.
 //! * [`Polygon`] — a simple polygon with Sutherland–Hodgman half-plane
 //!   clipping, used by the estimation step to compute exact answer
-//!   regions of field value queries.
+//!   regions of field value queries; [`FixedPolygon`] is its inline,
+//!   allocation-free counterpart for a triangle clipped twice.
 
 //!
 //! # Example
@@ -50,7 +51,9 @@ mod triangle;
 pub use aabb::Aabb;
 pub use interval::Interval;
 pub use point::Point2;
-pub use polygon::{clip_polygon_halfplane, Polygon};
+pub use polygon::{
+    clip_polygon_halfplane, shoelace, FixedPolygon, Polygon, FIXED_POLYGON_CAPACITY,
+};
 pub use triangle::Triangle;
 
 /// Tolerance used for geometric predicates on `f64` coordinates.

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry primitives.
 
-use cf_geom::{Aabb, Interval, Point2, Polygon, Triangle};
+use cf_geom::{shoelace, Aabb, FixedPolygon, Interval, Point2, Polygon, Triangle};
 use proptest::prelude::*;
 
 fn finite_coord() -> impl Strategy<Value = f64> {
@@ -25,7 +25,83 @@ fn point2() -> impl Strategy<Value = Point2> {
     (finite_coord(), finite_coord()).prop_map(|(x, y)| Point2::new(x, y))
 }
 
+/// Textbook Sutherland–Hodgman with `% n` edge indexing and `keep`
+/// evaluated at both endpoints of every edge: the reference the
+/// modulo-free clip loop must reproduce bit for bit.
+fn reference_clip(v: &[Point2], keep: impl Fn(Point2) -> f64) -> Vec<Point2> {
+    let n = v.len();
+    let mut out = Vec::new();
+    for i in 0..n {
+        let (cur, next) = (v[i], v[(i + 1) % n]);
+        let (kc, kn) = (keep(cur), keep(next));
+        if kc >= 0.0 {
+            out.push(cur);
+        }
+        if (kc > 0.0 && kn < 0.0) || (kc < 0.0 && kn > 0.0) {
+            out.push(cur.lerp(next, kc / (kc - kn)));
+        }
+    }
+    out
+}
+
+/// Textbook shoelace with `% n` edge indexing.
+fn reference_shoelace(v: &[Point2]) -> f64 {
+    let n = v.len();
+    if n < 3 {
+        return 0.0;
+    }
+    let mut acc = 0.0;
+    for i in 0..n {
+        let (p, q) = (v[i], v[(i + 1) % n]);
+        acc += p.x * q.y - q.x * p.y;
+    }
+    0.5 * acc
+}
+
+fn same_bits(a: &[Point2], b: &[Point2]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(p, q)| p.x.to_bits() == q.x.to_bits() && p.y.to_bits() == q.y.to_bits())
+}
+
 proptest! {
+    #[test]
+    fn clip_and_shoelace_match_the_modulo_reference(
+        v in prop::collection::vec(point2(), 0..9),
+        nx in -1.0..1.0f64, ny in -1.0..1.0f64, d in -500.0..500.0f64,
+        tie in 0..10usize,
+    ) {
+        // Passing the line through a vertex makes an exact zero.
+        let d = match v.get(tie) {
+            Some(p) => -(nx * p.x + ny * p.y),
+            None => d,
+        };
+        let keep = |p: Point2| nx * p.x + ny * p.y + d;
+        let want = reference_clip(&v, keep);
+        let got = Polygon::new(v.clone()).clip_halfplane(keep);
+        prop_assert!(same_bits(&got.vertices, &want));
+        prop_assert!(want.len() <= 3 * v.len() / 2);
+        prop_assert_eq!(shoelace(&v).to_bits(), reference_shoelace(&v).to_bits());
+        prop_assert_eq!(got.signed_area().to_bits(), reference_shoelace(&want).to_bits());
+    }
+
+    #[test]
+    fn fixed_polygon_clips_like_polygon(
+        a in point2(), b in point2(), c in point2(),
+        n1 in (-1.0..1.0f64, -1.0..1.0f64, -500.0..500.0f64),
+        n2 in (-1.0..1.0f64, -1.0..1.0f64, -500.0..500.0f64),
+    ) {
+        let tri = Triangle::new(a, b, c);
+        let k1 = |p: Point2| n1.0 * p.x + n1.1 * p.y + n1.2;
+        let k2 = |p: Point2| n2.0 * p.x + n2.1 * p.y + n2.2;
+        let want = Polygon::from(tri).clip_halfplane(k1).clip_halfplane(k2);
+        let got = FixedPolygon::from(tri).clip_halfplane(k1).clip_halfplane(k2);
+        prop_assert!(same_bits(got.vertices(), &want.vertices));
+        prop_assert_eq!(got.area().to_bits(), want.area().to_bits());
+        prop_assert_eq!(got.is_empty(), want.is_empty());
+    }
+
     #[test]
     fn interval_union_contains_operands(a in interval(), b in interval()) {
         let u = a.union(b);

@@ -7,9 +7,9 @@
 //! … the search speed will also suffer because of the overlapping of so
 //! many similar intervals."
 
-use crate::stats::{QueryMetrics, QueryStats, ValueIndex};
+use crate::stats::{refine_cell, QueryMetrics, QueryStats, RegionSink, ValueIndex};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Polygon};
+use cf_geom::Interval;
 use cf_rtree::{FrozenTree, PagedRTree, RStarTree, RTreeConfig};
 use cf_storage::{CfError, CfResult, RecordFile, Stopwatch, StorageEngine, TraceEvent};
 use std::marker::PhantomData;
@@ -103,7 +103,7 @@ impl<F: FieldModel> IAll<F> {
         engine: &StorageEngine,
         band: Interval,
         candidates: &mut Vec<u64>,
-        sink: &mut dyn FnMut(Polygon),
+        mut sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
         let tracer = engine.metrics().tracer();
         let query_id = tracer.is_enabled().then(|| tracer.next_query_id());
@@ -132,12 +132,7 @@ impl<F: FieldModel> IAll<F> {
             let rec = self.file.get(engine, cell as usize)?;
             stats.cells_examined += 1;
             debug_assert!(F::record_interval(&rec).intersects(band));
-            stats.cells_qualifying += 1;
-            for region in F::record_band_region(&rec, band) {
-                stats.num_regions += 1;
-                stats.area += region.area();
-                sink(region);
-            }
+            refine_cell::<F>(&rec, band, &mut stats, &mut sink);
         }
         stats.io = cf_storage::thread_io_stats() - before;
         let refine_ns = refine_clock.elapsed_ns();
@@ -183,11 +178,11 @@ impl<F: FieldModel> ValueIndex for IAll<F> {
         "I-All".into()
     }
 
-    fn query_with(
+    fn query_into(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
         let mut candidates = Vec::new();
         self.query_impl(engine, band, &mut candidates, sink)
@@ -199,7 +194,7 @@ impl<F: FieldModel> ValueIndex for IAll<F> {
         band: Interval,
         scratch: &mut crate::stats::QueryScratch,
     ) -> CfResult<QueryStats> {
-        self.query_impl(engine, band, &mut scratch.candidates, &mut |_| {})
+        self.query_impl(engine, band, &mut scratch.candidates, None)
     }
 
     fn index_pages(&self) -> usize {

@@ -13,10 +13,10 @@ use crate::advisor::{
 use crate::order::{cell_order, par_cell_order};
 use crate::sfindex::SubfieldIndex;
 pub use crate::sfindex::{QueryPlane, TreeBuild};
-use crate::stats::{QueryStats, ValueIndex};
+use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Polygon};
+use cf_geom::Interval;
 use cf_sfc::Curve;
 use cf_storage::{CfError, CfResult, StorageEngine};
 
@@ -401,13 +401,13 @@ impl<F: FieldModel> ValueIndex for IHilbert<F> {
         method_label(self.curve)
     }
 
-    fn query_with(
+    fn query_into(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
-        self.inner.query_with(engine, band, sink)
+        self.inner.query_into(engine, band, sink)
     }
 
     fn query_stats_scratch(

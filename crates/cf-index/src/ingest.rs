@@ -42,10 +42,10 @@ use crate::advisor::{refine_subfields_spatially, SpatialProfile, WorkloadProfile
 use crate::ihilbert::IHilbert;
 use crate::planner::SelectivityEstimator;
 use crate::sfindex::{SubfieldIndex, TreeBuild};
-use crate::stats::{QueryMetrics, QueryScratch, QueryStats, ValueIndex};
+use crate::stats::{refine_cell, QueryMetrics, QueryScratch, QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Polygon};
+use cf_geom::Interval;
 use cf_storage::{
     answer_digest, codec, CfResult, Counter, EpochPin, Gauge, HeatKind, Record, Stopwatch,
     StorageEngine, TraceEvent,
@@ -691,7 +691,7 @@ impl<F: FieldModel> EpochSnapshot<F> {
         band: Interval,
         ranges: &mut Vec<(u32, u32)>,
         runs: &mut Vec<std::ops::Range<usize>>,
-        sink: &mut dyn FnMut(Polygon),
+        mut sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
         let inner = self.base.inner();
         let tracer = engine.metrics().tracer();
@@ -752,13 +752,8 @@ impl<F: FieldModel> EpochSnapshot<F> {
             let rec = self.effective(idx, rec);
             stats.cells_examined += 1;
             if F::record_interval(&rec).intersects(band) {
-                stats.cells_qualifying += 1;
                 heat.table(HeatKind::Qualifying).bump(idx as u64);
-                for region in F::record_band_region(&rec, band) {
-                    stats.num_regions += 1;
-                    stats.area += region.area();
-                    sink(region);
-                }
+                refine_cell::<F>(&rec, band, &mut stats, &mut sink);
             }
         })?;
         stats.io = cf_storage::thread_io_stats() - before;
@@ -832,7 +827,7 @@ impl<F: FieldModel> EpochSnapshot<F> {
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        mut sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
         let inner = self.base.inner();
         let tracer = engine.metrics().tracer();
@@ -849,13 +844,8 @@ impl<F: FieldModel> EpochSnapshot<F> {
                 let rec = self.effective(idx, rec);
                 stats.cells_examined += 1;
                 if F::record_interval(&rec).intersects(band) {
-                    stats.cells_qualifying += 1;
                     heat.table(HeatKind::Qualifying).bump(idx as u64);
-                    for region in F::record_band_region(&rec, band) {
-                        stats.num_regions += 1;
-                        stats.area += region.area();
-                        sink(region);
-                    }
+                    refine_cell::<F>(&rec, band, &mut stats, &mut sink);
                 }
             })?;
         stats.io = cf_storage::thread_io_stats() - before;
@@ -917,7 +907,7 @@ impl<F: FieldModel> EpochSnapshot<F> {
         band: Interval,
         ranges: &mut Vec<(u32, u32)>,
         runs: &mut Vec<std::ops::Range<usize>>,
-        sink: &mut dyn FnMut(Polygon),
+        sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
         if self.estimator.is_some() {
             let pm = self.pmetrics.get_or_init(|| {
@@ -944,11 +934,11 @@ impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
         self.base.name()
     }
 
-    fn query_with(
+    fn query_into(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
         let mut ranges = Vec::new();
         let mut runs = Vec::new();
@@ -962,7 +952,7 @@ impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
         scratch: &mut QueryScratch,
     ) -> CfResult<QueryStats> {
         let QueryScratch { ranges, runs, .. } = scratch;
-        self.query_dispatch(engine, band, ranges, runs, &mut |_| {})
+        self.query_dispatch(engine, band, ranges, runs, None)
     }
 
     fn index_pages(&self) -> usize {

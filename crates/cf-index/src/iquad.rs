@@ -14,10 +14,10 @@
 //! intervals go into the same paged 1-D R\*-tree.
 
 use crate::sfindex::{SubfieldIndex, TreeBuild};
-use crate::stats::{QueryStats, ValueIndex};
+use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
-use cf_geom::{Aabb, Interval, Polygon};
+use cf_geom::{Aabb, Interval};
 use cf_storage::{CfResult, StorageEngine};
 
 /// Hard recursion cap: guards against non-termination when many cell
@@ -169,13 +169,13 @@ impl<F: FieldModel> ValueIndex for IntervalQuadtree<F> {
         "I-Quad".into()
     }
 
-    fn query_with(
+    fn query_into(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
-        self.inner.query_with(engine, band, sink)
+        self.inner.query_into(engine, band, sink)
     }
 
     fn query_stats_scratch(

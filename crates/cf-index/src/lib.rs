@@ -66,7 +66,7 @@ pub use linear::LinearScan;
 pub use order::{cell_order, par_cell_order, CURVE_ORDER};
 pub use planner::{AdaptiveIndex, Plan, SelectivityEstimator};
 pub use q1::{PointIndex, PointQueryStats};
-pub use stats::{QueryScratch, QueryStats, ValueIndex};
+pub use stats::{QueryScratch, QueryStats, RegionSink, ValueIndex};
 pub use subfield::{build_subfields, Subfield, SubfieldConfig};
 pub use vector::{vector_linear_scan, VectorIHilbert};
 pub use volume3d::{volume_linear_scan, VolumeIHilbert};

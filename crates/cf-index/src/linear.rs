@@ -4,9 +4,9 @@
 //! database, which will degrade dramatically the system performance. We
 //! term this method as 'LinearScan'."
 
-use crate::stats::{QueryStats, ValueIndex};
+use crate::stats::{refine_cell, QueryStats, RegionSink, ValueIndex};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Polygon};
+use cf_geom::Interval;
 use cf_storage::{CfResult, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 
@@ -41,11 +41,11 @@ impl<F: FieldModel> ValueIndex for LinearScan<F> {
         "LinearScan".into()
     }
 
-    fn query_with(
+    fn query_into(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        mut sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
         let before = cf_storage::thread_io_stats();
         let mut stats = QueryStats::default();
@@ -53,12 +53,7 @@ impl<F: FieldModel> ValueIndex for LinearScan<F> {
             .for_each_in_range(engine, 0..self.file.len(), |_, rec| {
                 stats.cells_examined += 1;
                 if F::record_interval(&rec).intersects(band) {
-                    stats.cells_qualifying += 1;
-                    for region in F::record_band_region(&rec, band) {
-                        stats.num_regions += 1;
-                        stats.area += region.area();
-                        sink(region);
-                    }
+                    refine_cell::<F>(&rec, band, &mut stats, &mut sink);
                 }
             })?;
         stats.io = cf_storage::thread_io_stats() - before;

@@ -15,9 +15,9 @@
 //!   based on estimated cost, so no second copy of the data is needed.
 
 use crate::ihilbert::IHilbert;
-use crate::stats::{QueryMetrics, QueryStats, ValueIndex};
+use crate::stats::{refine_cell, QueryMetrics, QueryStats, RegionSink, ValueIndex};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Polygon};
+use cf_geom::Interval;
 use cf_storage::{CfResult, Counter, Stopwatch, StorageEngine, TraceEvent};
 use std::sync::OnceLock;
 
@@ -198,11 +198,11 @@ impl<F: FieldModel> ValueIndex for AdaptiveIndex<F> {
         "I-Hilbert/adaptive".into()
     }
 
-    fn query_with(
+    fn query_into(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        mut sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
         let pm = self.pmetrics.get_or_init(|| {
             let registry = engine.metrics();
@@ -216,7 +216,7 @@ impl<F: FieldModel> ValueIndex for AdaptiveIndex<F> {
         match self.plan(band) {
             Plan::IndexProbe => {
                 pm.probe_plans.inc();
-                self.index.query_with(engine, band, sink)
+                self.index.query_into(engine, band, sink)
             }
             Plan::FullScan => {
                 pm.scan_plans.inc();
@@ -232,12 +232,7 @@ impl<F: FieldModel> ValueIndex for AdaptiveIndex<F> {
                     .for_each_in_range(engine, 0..inner.file.len(), |_, rec| {
                         stats.cells_examined += 1;
                         if F::record_interval(&rec).intersects(band) {
-                            stats.cells_qualifying += 1;
-                            for region in F::record_band_region(&rec, band) {
-                                stats.num_regions += 1;
-                                stats.area += region.area();
-                                sink(region);
-                            }
+                            refine_cell::<F>(&rec, band, &mut stats, &mut sink);
                         }
                     })?;
                 stats.io = cf_storage::thread_io_stats() - before;

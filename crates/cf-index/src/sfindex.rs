@@ -4,10 +4,10 @@
 //! over the subfield intervals whose leaf payloads are the packed
 //! ranges (paper Fig. 6: leaf entries store `ptr_start, ptr_end`).
 
-use crate::stats::{QueryMetrics, QueryStats};
+use crate::stats::{refine_cell, QueryMetrics, QueryStats, RegionSink};
 use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
-use cf_geom::{Aabb, Interval, Polygon};
+use cf_geom::{Aabb, Interval};
 use cf_rtree::{bulk_load_str, FrozenTree, PagedRTree, RStarTree, RTreeConfig};
 use cf_storage::{
     answer_digest, CellFile, CfResult, HeatKind, MetricsRegistry, RecordFile, Stopwatch,
@@ -459,7 +459,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
     ///
     /// Region geometry is not collected — this is the analytics path
     /// (counts + exact area). Results are identical to
-    /// [`SubfieldIndex::query_with`].
+    /// [`SubfieldIndex::query_into`].
     pub(crate) fn par_query_stats(
         &self,
         engine: &StorageEngine,
@@ -524,12 +524,8 @@ impl<F: FieldModel> SubfieldIndex<F> {
                         self.file.for_each_in_ranges(engine, &runs, |pos, rec| {
                             part.cells_examined += 1;
                             if F::record_interval(&rec).intersects(band) {
-                                part.cells_qualifying += 1;
                                 heat.table(HeatKind::Qualifying).bump(pos as u64);
-                                for region in F::record_band_region(&rec, band) {
-                                    part.num_regions += 1;
-                                    part.area += region.area();
-                                }
+                                refine_cell::<F>(&rec, band, &mut part, &mut None);
                             }
                         })?;
                         part.io = cf_storage::thread_io_stats() - worker_before;
@@ -616,18 +612,18 @@ impl<F: FieldModel> SubfieldIndex<F> {
 
     /// The two-step query of §3.2: filter subfields through the R\*-tree,
     /// then read each retrieved record range and estimate exact regions.
-    pub(crate) fn query_with(
+    pub(crate) fn query_into(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
         let mut ranges = Vec::new();
         let mut runs = Vec::new();
         self.query_impl(engine, band, &mut ranges, &mut runs, sink)
     }
 
-    /// [`SubfieldIndex::query_with`] minus region geometry, reusing the
+    /// [`SubfieldIndex::query_into`] minus region geometry, reusing the
     /// caller's scratch buffers (the batch executor's hot loop).
     pub(crate) fn query_stats_scratch(
         &self,
@@ -636,7 +632,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
         scratch: &mut crate::stats::QueryScratch,
     ) -> CfResult<QueryStats> {
         let crate::stats::QueryScratch { ranges, runs, .. } = scratch;
-        self.query_impl(engine, band, ranges, runs, &mut |_| {})
+        self.query_impl(engine, band, ranges, runs, None)
     }
 
     fn query_impl(
@@ -645,7 +641,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
         band: Interval,
         ranges: &mut Vec<(u32, u32)>,
         runs: &mut Vec<std::ops::Range<usize>>,
-        sink: &mut dyn FnMut(Polygon),
+        mut sink: RegionSink<'_>,
     ) -> CfResult<QueryStats> {
         let tracer = engine.metrics().tracer();
         let query_id = tracer.is_enabled().then(|| tracer.next_query_id());
@@ -685,13 +681,8 @@ impl<F: FieldModel> SubfieldIndex<F> {
         self.file.for_each_in_ranges(engine, runs, |pos, rec| {
             stats.cells_examined += 1;
             if F::record_interval(&rec).intersects(band) {
-                stats.cells_qualifying += 1;
                 heat.table(HeatKind::Qualifying).bump(pos as u64);
-                for region in F::record_band_region(&rec, band) {
-                    stats.num_regions += 1;
-                    stats.area += region.area();
-                    sink(region);
-                }
+                refine_cell::<F>(&rec, band, &mut stats, &mut sink);
             }
         })?;
         stats.io = cf_storage::thread_io_stats() - before;

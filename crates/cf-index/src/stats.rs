@@ -1,6 +1,7 @@
 //! The common query interface and per-query statistics.
 
-use cf_geom::{Interval, Polygon};
+use cf_field::FieldModel;
+use cf_geom::{shoelace, Interval, Polygon};
 use cf_storage::{
     CfResult, Counter, Histogram, IoStats, MetricsRegistry, SloTracker, StorageEngine,
 };
@@ -130,6 +131,31 @@ impl QueryMetrics {
     }
 }
 
+/// Where the estimation step sends answer regions: `None` when the
+/// caller keeps only counts and areas, so no region is ever built.
+pub type RegionSink<'a> = Option<&'a mut dyn FnMut(Polygon)>;
+
+/// The estimation step for one qualifying cell: counts the cell, then
+/// visits its band regions in place, counting them and summing their
+/// areas. A region becomes a [`Polygon`] only when `sink` keeps it, so
+/// the count-and-area path allocates nothing per cell.
+#[inline]
+pub(crate) fn refine_cell<F: FieldModel>(
+    rec: &F::CellRec,
+    band: Interval,
+    stats: &mut QueryStats,
+    sink: &mut RegionSink<'_>,
+) {
+    stats.cells_qualifying += 1;
+    F::for_each_band_region(rec, band, |region| {
+        stats.num_regions += 1;
+        stats.area += shoelace(region).abs();
+        if let Some(sink) = sink {
+            sink(Polygon::new(region.to_vec()));
+        }
+    });
+}
+
 /// A value-domain index over one field, queryable by value interval.
 ///
 /// Implementations own their cell file and index pages inside a shared
@@ -139,22 +165,34 @@ pub trait ValueIndex: Send + Sync {
     /// Method name as used in the paper's figures (e.g. `"I-Hilbert"`).
     fn name(&self) -> String;
 
-    /// Runs the full query pipeline, passing each non-empty answer
-    /// region to `sink`, and returns the statistics.
+    /// Runs the full query pipeline and returns the statistics. With a
+    /// sink, each non-empty answer region is built as a [`Polygon`] and
+    /// passed to it; without one, regions are only counted and measured.
     ///
     /// I/O failures — injected faults, corrupt pages — abort the query
     /// with the underlying [`cf_storage::CfError`]; regions already
     /// passed to `sink` before the failure must be discarded.
+    fn query_into(
+        &self,
+        engine: &StorageEngine,
+        band: Interval,
+        sink: RegionSink<'_>,
+    ) -> CfResult<QueryStats>;
+
+    /// Runs the full query pipeline, passing each non-empty answer
+    /// region to `sink`, and returns the statistics.
     fn query_with(
         &self,
         engine: &StorageEngine,
         band: Interval,
         sink: &mut dyn FnMut(Polygon),
-    ) -> CfResult<QueryStats>;
+    ) -> CfResult<QueryStats> {
+        self.query_into(engine, band, Some(sink))
+    }
 
     /// Runs the query and discards region geometry (keeps area/counts).
     fn query_stats(&self, engine: &StorageEngine, band: Interval) -> CfResult<QueryStats> {
-        self.query_with(engine, band, &mut |_| {})
+        self.query_into(engine, band, None)
     }
 
     /// Like [`ValueIndex::query_stats`], but reusing caller-provided

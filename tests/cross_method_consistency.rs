@@ -1,14 +1,50 @@
 //! Cross-crate integration: every indexing method must return exactly
 //! the same answer as the exhaustive LinearScan on every workload.
 
+use contfield::field::CompactGridField;
 use contfield::prelude::*;
 use contfield::workload::{
     fractal::diamond_square, monotonic::monotonic_field, noise::urban_noise_tin,
     queries::interval_queries,
 };
 
+/// The discarding sink (`query_stats`) and the collecting one
+/// (`query_regions`) must report identical statistics, each run from a
+/// cold pool so the I/O counts compare too, and the collected regions'
+/// areas, summed in order, must reproduce the reported area bit for bit.
+fn assert_sinks_agree(engine: &StorageEngine, m: &dyn ValueIndex, q: Interval) {
+    engine.clear_cache();
+    let stats = m.query_stats(engine, q).expect("query");
+    engine.clear_cache();
+    let (collected, regions) = m.query_regions(engine, q).expect("query");
+    assert_eq!(
+        collected,
+        stats,
+        "{}: query_regions and query_stats disagree for {q}",
+        m.name()
+    );
+    assert_eq!(
+        collected.area.to_bits(),
+        stats.area.to_bits(),
+        "{}: area bits differ between sinks for {q}",
+        m.name()
+    );
+    assert_eq!(regions.len(), stats.num_regions, "{} for {q}", m.name());
+    let summed = regions
+        .iter()
+        .map(Polygon::area)
+        .fold(0.0, |acc, a| acc + a);
+    assert_eq!(
+        summed.to_bits(),
+        stats.area.to_bits(),
+        "{}: collected regions sum to {summed}, stats report {} for {q}",
+        m.name(),
+        stats.area
+    );
+}
+
 /// Builds all four methods over `field` and checks them against the
-/// scan on `queries`.
+/// scan on `queries`, and each method's two sinks against each other.
 fn assert_all_methods_agree<F>(field: &F, queries: &[Interval])
 where
     F: FieldModel + Sync,
@@ -24,6 +60,10 @@ where
     let methods: Vec<&dyn ValueIndex> = vec![&iall, &ihilbert, &iquad];
 
     for q in queries {
+        assert_sinks_agree(&engine, &scan, *q);
+        for m in &methods {
+            assert_sinks_agree(&engine, *m, *q);
+        }
         let want = scan.query_stats(&engine, *q).expect("query");
         for m in &methods {
             let got = m.query_stats(&engine, *q).expect("query");
@@ -78,6 +118,13 @@ fn monotonic_grid() {
     let field = monotonic_field(48);
     let dom = field.value_domain();
     assert_all_methods_agree(&field, &sweep(dom, 2));
+}
+
+#[test]
+fn compact_grid() {
+    let field = CompactGridField::new(&diamond_square(5, 0.5, 78));
+    let dom = field.value_domain();
+    assert_all_methods_agree(&field, &sweep(dom, 4));
 }
 
 #[test]
