@@ -4,11 +4,14 @@
 
 use cf_delaunay::triangulate;
 use cf_field::estimate::triangle_band;
-use cf_field::{FieldModel, GridField};
+use cf_field::{FieldModel, GridCellRecord, GridField};
 use cf_geom::{shoelace, Aabb, Interval, Point2, Triangle};
+use cf_index::cell_order;
 use cf_rtree::{bulk_load_str, PagedRTree, RStarTree, RTreeConfig};
 use cf_sfc::{hilbert_index_2d, hilbert_index_nd, Curve};
-use cf_storage::{KvRecord, RecordFile, StorageEngine};
+use cf_storage::compress::{decode_page, PageEncoder};
+use cf_storage::{checksum, KvRecord, Record, RecordFile, StorageEngine, PAGE_SIZE};
+use cf_workload::terrain::roseburg_standin;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -136,6 +139,42 @@ fn storage(c: &mut Criterion) {
             file.for_each_in_range(&engine, start..start + 1000, |_, r| acc += r.value)
                 .expect("scan");
             std::hint::black_box(acc)
+        })
+    });
+
+    // The cold read path's CPU per page: the sidecar checksum of a 4 KiB
+    // image and the decode of one compressed page of Hilbert-ordered
+    // terrain cells, filled greedily with no update reserve.
+    let field = roseburg_standin(7);
+    let cells: Vec<GridCellRecord> = cell_order(&field, Curve::Hilbert)
+        .into_iter()
+        .map(|c| field.cell_record(c))
+        .collect();
+    let (cols, groups) = (
+        GridCellRecord::columns(),
+        GridCellRecord::column_rotation_groups(),
+    );
+    let mut enc = PageEncoder::new(cols.clone(), groups.clone());
+    let mut image = vec![0u8; GridCellRecord::SIZE];
+    for cell in &cells {
+        cell.encode(&mut image);
+        if !enc.try_push(&image, 0) {
+            break;
+        }
+    }
+    let mut page = [0u8; PAGE_SIZE];
+    let count = enc.count();
+    enc.flush_into(&mut page);
+    let mut out = vec![0u8; count * GridCellRecord::SIZE];
+    g.bench_function("crc32_4k_page", |b| {
+        b.iter(|| std::hint::black_box(checksum::crc32(std::hint::black_box(&page))))
+    });
+    g.bench_function("decode_page_grid", |b| {
+        b.iter(|| {
+            std::hint::black_box(
+                decode_page(&cols, &groups, GridCellRecord::SIZE, &page, &mut out)
+                    .expect("decodes"),
+            )
         })
     });
     g.finish();

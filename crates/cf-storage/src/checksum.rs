@@ -21,10 +21,13 @@ pub const ENTRY_MAGIC: u32 = 0x4346_5047;
 /// Size in bytes of one sidecar entry.
 pub const ENTRY_SIZE: usize = 8;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table,
-/// built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) slicing-by-16
+/// tables, built at compile time (16 KiB). `CRC_TABLES[0]` is the classic
+/// bytewise table; `CRC_TABLES[k][b]` is the CRC state contributed by
+/// byte `b` followed by `k` zero bytes, so one 16-byte block folds into
+/// the state with 16 independent lookups instead of a 16-step chain.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -37,17 +40,53 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 of `bytes`.
+/// CRC-32 of `bytes` (IEEE: initial state and final XOR `0xFFFF_FFFF`).
+///
+/// Slicing-by-16: each 16-byte block is one round of table lookups; the
+/// bytewise loop handles only the final `len % 16` bytes. The value is
+/// the same as the textbook bytewise CRC for every input, so sidecar,
+/// catalog and freelist checksums written by either verify under both.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let (blocks, rest) = bytes.as_chunks::<16>();
+    for b in blocks {
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in rest {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -95,6 +134,17 @@ mod tests {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_golden_values_of_page_sized_inputs() {
+        // Values of the IEEE CRC-32 as every zlib computes it; pages,
+        // catalog slots and freelist superblocks on disk carry these.
+        assert_eq!(crc32(&[0u8; PAGE_SIZE]), 0xC71C_0011);
+        assert_eq!(zero_page_entry(), 0x4346_5047_C71C_0011);
+        let ramp: Vec<u8> = (0..16).flat_map(|_| 0..=255u8).collect();
+        assert_eq!(ramp.len(), PAGE_SIZE);
+        assert_eq!(crc32(&ramp), 0xA291_2082);
     }
 
     #[test]

@@ -39,6 +39,14 @@
 //! invisible outside the codec, so readers always see exactly the bytes
 //! that were written.
 //!
+//! The decoder assembles a trimmed XOR with one little-endian `u64`
+//! load whenever at least 8 payload bytes follow the control byte: the
+//! word is masked to its `sig` low bytes and shifted up by `trail`
+//! bytes. Within 8 bytes of the payload end it copies the significant
+//! bytes one by one instead, so a span cut short by the declared
+//! payload length still reports [`DecodeError::TruncatedPayload`].
+//! Both paths give the same word.
+//!
 //! Decoding validates structure exhaustively — magic, count bounds,
 //! payload length, control-byte sanity, and exact payload consumption —
 //! and reports any violation as a [`DecodeError`], which callers map to
@@ -575,7 +583,6 @@ fn restore_rotations(
         return Ok(());
     }
     let n_units = groups.len();
-    let mut tmp = vec![0u8; rec_size];
     for i in 0..count {
         let tag = (tags[i / 4] >> ((i % 4) * 2)) & 0b11;
         let r = tag as usize;
@@ -586,15 +593,21 @@ fn restore_rotations(
             return Err(DecodeError::BadRotationTag(tag));
         }
         let rec = &mut out[i * rec_size..(i + 1) * rec_size];
-        tmp.copy_from_slice(rec);
-        for (j, unit) in groups.iter().enumerate() {
-            // Stored unit `j` carries original unit `(j + r) % n_units`.
-            let orig = &groups[(j + r) % n_units];
-            for (m, &perm_col) in unit.iter().enumerate() {
-                let w = cols[perm_col].kind.raw_width();
-                let from = cols[perm_col].offset;
-                let to = cols[orig[m]].offset;
-                rec[to..to + w].copy_from_slice(&tmp[from..from + w]);
+        // Stored unit `j` carries original unit `(j + r) % n_units`: move
+        // every unit `r` places up, one place at a time, carrying the
+        // last unit's word of each position round to the first.
+        for _ in 0..r {
+            for (m, &first) in groups[0].iter().enumerate() {
+                let w = cols[first].kind.raw_width();
+                let last = cols[groups[n_units - 1][m]].offset;
+                let mut carry = [0u8; 8];
+                carry[..w].copy_from_slice(&rec[last..last + w]);
+                for k in (1..n_units).rev() {
+                    let from = cols[groups[k - 1][m]].offset;
+                    rec.copy_within(from..from + w, cols[groups[k][m]].offset);
+                }
+                let to = cols[first].offset;
+                rec[to..to + w].copy_from_slice(&carry[..w]);
             }
         }
     }
@@ -729,13 +742,26 @@ fn decode_xor8_column(
                 if trail + sig > 8 {
                     return Err(DecodeError::BadControlByte(ctrl));
                 }
-                let bytes = buf
-                    .get(pos + 1..pos + 1 + sig)
-                    .ok_or(DecodeError::TruncatedPayload)?;
-                let mut le = [0u8; 8];
-                le[trail..trail + sig].copy_from_slice(bytes);
+                // Word-load fast path: with 8 payload bytes after the
+                // control, load them as one word, keep the low `sig`
+                // bytes and shift them up past `trail` zero bytes. Near
+                // the payload end, assemble the bytes one by one so a
+                // short span still reports `TruncatedPayload`.
+                let x = match buf.get(pos + 1..).and_then(<[u8]>::first_chunk::<8>) {
+                    Some(w) => {
+                        (u64::from_le_bytes(*w) & (u64::MAX >> (64 - 8 * sig))) << (8 * trail)
+                    }
+                    None => {
+                        let bytes = buf
+                            .get(pos + 1..pos + 1 + sig)
+                            .ok_or(DecodeError::TruncatedPayload)?;
+                        let mut le = [0u8; 8];
+                        le[trail..trail + sig].copy_from_slice(bytes);
+                        u64::from_le_bytes(le)
+                    }
+                };
                 pos += 1 + sig;
-                prev ^ u64::from_le_bytes(le)
+                prev ^ x
             };
             prev = v;
             let slot = i * rec_size + offset;

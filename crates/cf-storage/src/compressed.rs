@@ -30,6 +30,7 @@ use crate::compress::{self, decode_page, ColSpec, PageEncoder};
 use crate::{
     codec, CfError, CfResult, PageBuf, PageId, Record, RecordFile, StorageEngine, PAGE_SIZE,
 };
+use cf_obs::Histogram;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -107,6 +108,9 @@ pub struct CompressedRecordFile<R: Record> {
     page_starts: Vec<u32>,
     cols: Vec<ColSpec>,
     groups: Vec<Vec<usize>>,
+    /// `storage_page_decode` on the engine the file was created or
+    /// opened on, resolved once so a page decode takes no registry lock.
+    decode_ns: Histogram,
     _marker: PhantomData<R>,
 }
 
@@ -120,6 +124,11 @@ impl<R: Record> CompressedRecordFile<R> {
     /// open a new tag byte).
     fn reserve(cols: &[ColSpec], groups: &[Vec<usize>]) -> usize {
         2 * (compress::worst_record_bytes(cols) + usize::from(!groups.is_empty()))
+    }
+
+    /// The page decode-time histogram of `engine`.
+    fn decode_histogram(engine: &StorageEngine) -> Histogram {
+        engine.metrics().time_histogram("storage_page_decode", &[])
     }
 
     /// Directory pages needed for `data_pages` entries.
@@ -203,6 +212,7 @@ impl<R: Record> CompressedRecordFile<R> {
             page_starts,
             cols,
             groups,
+            decode_ns: Self::decode_histogram(engine),
             _marker: PhantomData,
         })
     }
@@ -278,6 +288,7 @@ impl<R: Record> CompressedRecordFile<R> {
             page_starts,
             cols,
             groups,
+            decode_ns: Self::decode_histogram(engine),
             _marker: PhantomData,
         })
     }
@@ -356,10 +367,7 @@ impl<R: Record> CompressedRecordFile<R> {
                 ),
             });
         }
-        engine
-            .metrics()
-            .time_histogram("storage_page_decode", &[])
-            .observe_ns(t0.elapsed().as_nanos() as u64);
+        self.decode_ns.observe_ns(t0.elapsed().as_nanos() as u64);
         Ok(decoded)
     }
 
